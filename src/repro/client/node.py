@@ -40,6 +40,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 from repro.storage.blockmap import (
     BLOCK_SIZE,
+    ExtentMap,
     byte_range_to_blocks,
     extents_from_payload,
 )
@@ -184,6 +185,12 @@ class StorageTankClient:
         # Deferred closes (intent mode): per-server file ids whose close
         # census rides the next LOCK_BATCH instead of its own datagram.
         self._pending_closes: Dict[str, List[int]] = {}
+        # The last extent map adopted per file id (with the path it was
+        # opened under), kept while the file's lock is held.  Requests
+        # whose reply can carry extents name it in ``have`` so the
+        # server ships only the runs past it (see ``_adopt_extents``).
+        self._known_extents: Dict[int, Tuple[str, ExtentMap]] = {}
+        self._known_fid: Dict[str, int] = {}
 
         self.leases: Dict[str, ClientLeaseManager] = {}
         if self.config.use_leases:
@@ -255,21 +262,22 @@ class StorageTankClient:
         self._enter()
         try:
             sent_at = self.sim.now
+            body: Dict[str, Any] = {"path": path, "mode": mode}
+            known = self._with_have(body, self._known_fid.get(path))
             if self.config.use_intents:
-                p = yield from self._intent_open(path, mode, srv)
+                p = yield from self._intent_open(body, srv)
             else:
-                reply = yield from self._rpc(MsgKind.OPEN,
-                                             {"path": path, "mode": mode}, srv,
+                reply = yield from self._rpc(MsgKind.OPEN, body, srv,
                                              route=("path", path))
                 p = reply.payload
             attrs = FileAttributes.from_payload(p["attrs"])
-            extents = extents_from_payload(p["extents"])
             lock = LockMode(int(p["lock"]))
             fid = int(p["file_id"])
             self._note_file_owner(fid, path)
             stale_grant = self._lock_reply_stale(fid, sent_at)
             if not stale_grant:
                 self.locks.note_granted(fid, lock)
+            extents = self._adopt_extents(fid, path, p, known)
             of = self.fds.install(path, fid, mode, attrs, extents,
                                   LockMode.NONE if stale_grant else lock,
                                   server=self._file_server[fid])
@@ -282,22 +290,23 @@ class StorageTankClient:
         finally:
             self._exit()
 
-    def _intent_open(self, path: str, mode: str, srv: str,
+    def _intent_open(self, body: Dict[str, Any], srv: str,
                      ) -> Generator[Event, Any, Dict[str, Any]]:
-        """One-round-trip open: the lock request carries the operation.
+        """One-round-trip open: the lock request carries the operation
+        (``body`` is the OPEN request's).
 
         Deferred closes for this server ride the same datagram as a
         LOCK_BATCH, so an open→close→open cycle costs one message."""
+        path = body["path"]
         closes = self._pending_closes.pop(srv, None)
         if not closes:
             reply = yield from self._rpc(MsgKind.LOCK_INTENT,
-                                         {"op": "open", "path": path,
-                                          "mode": mode}, srv,
+                                         {"op": "open", **body}, srv,
                                          route=("path", path))
             return reply.payload
         ops: List[Dict[str, Any]] = [{"op": "close", "file_id": fid}
                                      for fid in closes]
-        ops.append({"op": "open", "path": path, "mode": mode})
+        ops.append({"op": "open", **body})
         try:
             reply = yield from self._rpc(MsgKind.LOCK_BATCH, {"ops": ops},
                                          srv, route=("path", path))
@@ -377,14 +386,14 @@ class StorageTankClient:
             pinned = True
             end = offset + nbytes
             if end > of.extents.size_bytes:
+                body: Dict[str, Any] = {"file_id": of.file_id, "size": end}
+                known = self._with_have(body, of.file_id)
                 if self.config.use_intents:
                     # Growth folds into a setattr intent: the reply is
                     # op-result + (idempotent) grant in one round trip.
                     sent_at = self.sim.now
                     reply = yield from self._rpc(
-                        MsgKind.LOCK_INTENT,
-                        {"op": "setattr", "file_id": of.file_id,
-                         "size": end},
+                        MsgKind.LOCK_INTENT, {"op": "setattr", **body},
                         of.server, route=("file", of.file_id))
                     lock = reply.payload.get("lock")
                     if (lock is not None
@@ -395,10 +404,9 @@ class StorageTankClient:
                         of.lock = LockMode(int(lock))
                 else:
                     reply = yield from self._rpc(
-                        MsgKind.SETATTR,
-                        {"file_id": of.file_id, "size": end},
+                        MsgKind.SETATTR, body,
                         of.server, route=("file", of.file_id))
-                self._apply_meta_reply(of, reply.payload)
+                self._apply_meta_reply(of, reply.payload, known)
             tag = f"{self.name}:w{next(self._write_seq)}"
             first, count = byte_range_to_blocks(offset, nbytes)
             phys = []
@@ -646,6 +654,7 @@ class StorageTankClient:
             fid = int(reply.payload["file_id"])
             self.cache.invalidate_file(fid)
             self.locks.note_released(fid)
+            self._forget_extents(fid)
             self._file_server.pop(fid, None)
             self._file_slot.pop(fid, None)
             for of in self.fds.by_file_id(fid):
@@ -802,6 +811,8 @@ class StorageTankClient:
         for mgr in self.leases.values():
             if mgr._daemon.is_alive:
                 mgr._daemon.interrupt()
+        self._known_extents.clear()
+        self._known_fid.clear()
         self.endpoint.net.detach(self.name)
         self.san.detach_initiator(self.name)
 
@@ -1054,9 +1065,10 @@ class StorageTankClient:
                     of.lock = self.locks.mode_of(of.file_id)
                 return
             sent_at = self.sim.now
-            reply = yield from self._rpc(MsgKind.LOCK_ACQUIRE,
-                                         {"file_id": of.file_id,
-                                          "mode": int(wanted)},
+            body: Dict[str, Any] = {"file_id": of.file_id,
+                                    "mode": int(wanted)}
+            known = self._with_have(body, of.file_id)
+            reply = yield from self._rpc(MsgKind.LOCK_ACQUIRE, body,
                                          of.server, route=("file", of.file_id))
             if not self._lock_reply_stale(of.file_id, sent_at):
                 break
@@ -1073,19 +1085,64 @@ class StorageTankClient:
             of.stale = False
         # The grant's own payload carries fresh attrs/extents — adopt
         # them instead of re-fetching through a second parse path.
-        self._apply_meta_reply(of, reply.payload)
+        self._apply_meta_reply(of, reply.payload, known)
         of.lock = granted
 
-    def _apply_meta_reply(self, of: OpenFile, payload: Dict[str, Any]) -> None:
-        """Adopt the attrs/extents a reply carried (missing keys keep
-        the current view) — the single parse path for every reply that
-        returns file metadata alongside its main result."""
+    def _apply_meta_reply(self, of: OpenFile, payload: Dict[str, Any],
+                          known: Optional[ExtentMap]) -> None:
+        """Adopt the attrs/extents a reply carried (missing keys, or an
+        empty map, keep the current view) — the single parse path for
+        every reply that returns file metadata alongside its main
+        result.  ``known`` is what the request's ``have`` named."""
         attrs = payload.get("attrs")
         if attrs:
             of.attrs = FileAttributes.from_payload(attrs)
-        ext = payload.get("extents")
-        if ext:
-            of.extents = extents_from_payload(ext)
+        extents = self._adopt_extents(of.file_id, of.path, payload, known)
+        if extents is not None and extents.extents:
+            of.extents = extents
+
+    def _with_have(self, body: Dict[str, Any], fid: Optional[int],
+                   ) -> Optional[ExtentMap]:
+        """Name this client's known extent map of ``fid`` in a request
+        as ``have: [fid, n_runs]``; returns that map (None: no ``have``).
+
+        The caller hands the returned map to ``_adopt_extents`` with the
+        reply: the cache entry may be dropped or replaced meanwhile, but
+        a map object is never changed once adopted."""
+        entry = self._known_extents.get(fid) if fid is not None else None
+        if entry is None:
+            return None
+        known = entry[1]
+        body["have"] = [fid, len(known.extents)]
+        return known
+
+    def _adopt_extents(self, fid: int, path: str, payload: Dict[str, Any],
+                       known: Optional[ExtentMap]) -> Optional[ExtentMap]:
+        """The full extent map a reply describes (None if it carries none).
+
+        A reply to a ``have`` the server accepted carries only the runs
+        past the first ``extents_base``; those come from ``known``.  The
+        result is always a new map, so every open instance keeps its own
+        view.  It becomes the known map of ``fid`` while this client
+        holds the file's lock."""
+        runs = payload.get("extents")
+        if runs is None:
+            return None
+        extents = extents_from_payload(runs)
+        base = payload.get("extents_base")
+        if base is not None:
+            # Only a reply to a ``have`` carries a base.
+            extents = known.spliced(int(base), extents)
+        if self.locks.mode_of(fid) != LockMode.NONE:
+            self._known_extents[fid] = (path, extents)
+            self._known_fid[path] = fid
+        return extents
+
+    def _forget_extents(self, fid: int) -> None:
+        """Drop the known extent map of a file whose lock is gone."""
+        entry = self._known_extents.pop(fid, None)
+        if entry is not None and self._known_fid.get(entry[0]) == fid:
+            del self._known_fid[entry[0]]
 
     def _fetch_blocks(self, of: OpenFile, blocks: List[int],
                       ) -> Generator[Event, Any, List[Tuple[int, Optional[str]]]]:
@@ -1255,6 +1312,8 @@ class StorageTankClient:
             self.locks.drop_all()
             self.fds.mark_all_stale()
             self._attr_cache.clear()
+            self._known_extents.clear()
+            self._known_fid.clear()
         else:
             dropped = []
             fids = self._files_of_server(server)
@@ -1262,6 +1321,7 @@ class StorageTankClient:
                 dropped.extend(self.cache.invalidate_file(fid))
                 self._note_lock_revoked(fid)
                 self.locks.note_released(fid)
+                self._forget_extents(fid)
             self.fds.mark_stale_for(fids)
         for p in dropped:
             # Dirty data that survived phase 4 could not be hardened;
@@ -1311,6 +1371,7 @@ class StorageTankClient:
                 for fobj, _fmode in pending[i:]:
                     self._note_lock_revoked(fobj)
                     self.locks.note_released(fobj)
+                    self._forget_extents(fobj)
                     dropped = self.cache.invalidate_file(fobj)
                     for p in dropped:
                         self.app_errors += 1
@@ -1345,6 +1406,7 @@ class StorageTankClient:
                     return
             self._note_lock_revoked(obj)
             self.locks.note_released(obj)
+            self._forget_extents(obj)
             dropped = self.cache.invalidate_file(obj)
             for p in dropped:
                 self.app_errors += 1
@@ -1426,6 +1488,7 @@ class StorageTankClient:
                                      {"file_id": file_id}, server)
                 self._note_lock_revoked(file_id)
                 self.locks.note_released(file_id)
+                self._forget_extents(file_id)
                 for of in self.fds.by_file_id(file_id):
                     of.lock = LockMode.NONE
         except (NackError, DeliveryError):
@@ -1439,6 +1502,7 @@ class StorageTankClient:
             self.cache.invalidate_file(file_id)
             self._note_lock_revoked(file_id)
             self.locks.note_released(file_id)
+            self._forget_extents(file_id)
             for of in self.fds.by_file_id(file_id):
                 of.lock = LockMode.NONE
                 of.stale = True

@@ -22,6 +22,7 @@ from repro.locks.manager import GrantPolicy, LockManager, grant_policy
 from repro.locks.modes import LockMode, compatible
 from repro.locks.ranges import ByteRange, RangeLockManager
 from repro.metadata.directory import NamespaceError
+from repro.metadata.inode import Inode
 from repro.metadata.store import MetadataStore
 from repro.net.control import ControlNetwork, Endpoint, RetryPolicy
 from repro.net.message import DeliveryError, Message, MsgKind, NackError
@@ -555,6 +556,25 @@ class StorageTankServer:
     # ------------------------------------------------------------------
     # transaction handlers
     # ------------------------------------------------------------------
+    @staticmethod
+    def _extents_part(ino: Inode, have: Any = None) -> Dict[str, Any]:
+        """The extent part of a reply: only the runs the requester lacks.
+
+        A live file's map only grows by append, and file ids are never
+        reused, so the first ``n`` runs a client once adopted for a file
+        are still the first ``n`` runs of its map.  A request carrying
+        ``have = [file_id, n]`` that names this inode with
+        ``0 <= n <= len(map)`` gets runs ``[n:]`` plus
+        ``extents_base: n``; any other request gets the full map.
+        """
+        em = ino.extents
+        if have is not None:
+            fid, n = int(have[0]), int(have[1])
+            if fid == ino.file_id and 0 <= n <= len(em.extents):
+                return {"extents": extents_to_payload(em.tail(n)),
+                        "extents_base": n}
+        return {"extents": extents_to_payload(em)}
+
     def _h_create(self, msg: Message):
         path = msg.payload["path"]
         size = int(msg.payload.get("size", 0))
@@ -568,7 +588,7 @@ class StorageTankServer:
             self.cluster.note_create(ino.file_id, path)
         return ("ack", {"file_id": ino.file_id,
                         "attrs": ino.attrs.to_payload(),
-                        "extents": extents_to_payload(ino.extents)})
+                        **self._extents_part(ino)})
 
     def _create_with_barrier(self, path: str, size: int,
                              store: MetadataStore,
@@ -588,7 +608,7 @@ class StorageTankServer:
                                size=ino.attrs.size)
             return ("ack", {"file_id": ino.file_id,
                             "attrs": ino.attrs.to_payload(),
-                            "extents": extents_to_payload(ino.extents)})
+                            **self._extents_part(ino)})
         finally:
             self._cache_pending.discard(barrier)
 
@@ -603,7 +623,7 @@ class StorageTankServer:
             # NFS-style open: no coherence lock, caller polls attributes.
             return ("ack", {"file_id": ino.file_id,
                             "attrs": ino.attrs.to_payload(),
-                            "extents": extents_to_payload(ino.extents),
+                            **self._extents_part(ino, msg.payload.get("have")),
                             "lock": int(LockMode.NONE)})
         wanted = LockMode.EXCLUSIVE if mode == "w" else LockMode.SHARED
 
@@ -611,7 +631,7 @@ class StorageTankServer:
             granted = yield from self._grant_lock(msg.src, ino.file_id, wanted)
             return ("ack", {"file_id": ino.file_id,
                             "attrs": ino.attrs.to_payload(),
-                            "extents": extents_to_payload(ino.extents),
+                            **self._extents_part(ino, msg.payload.get("have")),
                             "lock": int(granted)})
         return run()
 
@@ -652,7 +672,7 @@ class StorageTankServer:
         except NamespaceError as exc:
             return ("nack", {"error": str(exc)})
         return ("ack", {"attrs": ino.attrs.to_payload(),
-                        "extents": extents_to_payload(ino.extents)})
+                        **self._extents_part(ino, msg.payload.get("have"))})
 
     def _setattr_with_barrier(self, body: Dict[str, Any], file_id: int,
                               size: Any, store: MetadataStore,
@@ -673,7 +693,7 @@ class StorageTankServer:
             self._trace_mutate("setattr", file_id=file_id,
                                size=ino.attrs.size)
             return ("ack", {"attrs": ino.attrs.to_payload(),
-                            "extents": extents_to_payload(ino.extents)})
+                            **self._extents_part(ino, body.get("have"))})
         finally:
             self._cache_pending.discard(barrier)
 
@@ -748,7 +768,7 @@ class StorageTankServer:
             try:
                 ino = self._meta_for_file(file_id).inode(file_id)
                 extra = {"attrs": ino.attrs.to_payload(),
-                         "extents": extents_to_payload(ino.extents)}
+                         **self._extents_part(ino, msg.payload.get("have"))}
             except NamespaceError:
                 extra = {}
             return ("ack", {"mode": int(granted), **extra})
@@ -810,7 +830,7 @@ class StorageTankServer:
             granted = yield from self._grant_lock(client, ino.file_id, wanted)
             return ("ack", {"file_id": ino.file_id,
                             "attrs": ino.attrs.to_payload(),
-                            "extents": extents_to_payload(ino.extents),
+                            **self._extents_part(ino, body.get("have")),
                             "lock": int(granted)})
         if op == "create":
             path = body["path"]
@@ -826,7 +846,7 @@ class StorageTankServer:
                     self.cluster.note_create(ino.file_id, path)
                 result = ("ack", {"file_id": ino.file_id,
                                   "attrs": ino.attrs.to_payload(),
-                                  "extents": extents_to_payload(ino.extents)})
+                                  **self._extents_part(ino)})
             decision, payload = result
             if decision == "ack":
                 granted = yield from self._grant_lock(
@@ -870,7 +890,7 @@ class StorageTankServer:
                 else:
                     result = ("ack",
                               {"attrs": ino.attrs.to_payload(),
-                               "extents": extents_to_payload(ino.extents)})
+                               **self._extents_part(ino, body.get("have"))})
             decision, payload = result
             if decision == "ack":
                 payload = dict(payload)

@@ -9,7 +9,9 @@ file's logical block space onto ``(device, lba)`` ranges.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, List, Tuple
 
 #: Bytes per data block on the shared disks.
@@ -44,14 +46,27 @@ class Extent:
 
 @dataclass
 class ExtentMap:
-    """Logical-block → physical-block mapping for one file."""
+    """Logical-block → physical-block mapping for one file.
+
+    A live file's map only grows, one run at a time, through
+    :meth:`append` (never by changing ``extents`` directly).  Alongside
+    the runs the map keeps their running prefix sums (``_ends[i]`` is one
+    past the last logical block of run ``i``), so :attr:`block_count` is
+    O(1) and :meth:`resolve` bisects.
+    """
 
     extents: List[Extent] = field(default_factory=list)
+    _ends: List[int] = field(default_factory=list, init=False, repr=False,
+                             compare=False)
+
+    def __post_init__(self) -> None:
+        self._ends = list(accumulate(e.length for e in self.extents))
 
     @property
     def block_count(self) -> int:
         """Total mapped logical blocks."""
-        return sum(e.length for e in self.extents)
+        ends = self._ends
+        return ends[-1] if ends else 0
 
     @property
     def size_bytes(self) -> int:
@@ -61,33 +76,74 @@ class ExtentMap:
     def append(self, extent: Extent) -> None:
         """Grow the file by one extent (allocator responsibility to avoid
         overlap with other files)."""
+        total = self.block_count
         self.extents.append(extent)
+        self._ends.append(total + extent.length)
+
+    def tail(self, n: int) -> "ExtentMap":
+        """A new map of the runs after the first ``n``."""
+        return ExtentMap(self.extents[n:])
+
+    def spliced(self, n: int, tail: "ExtentMap") -> "ExtentMap":
+        """A new map of this map's first ``n`` runs followed by ``tail``'s.
+
+        Neither input changes.  Inverse of :meth:`tail`: for every
+        ``0 <= n <= len(m.extents)``, ``m.spliced(n, m.tail(n)) == m``.
+        """
+        ends = self._ends
+        if not 0 <= n <= len(ends):
+            raise ValueError(f"prefix of {n} runs, map has {len(ends)}")
+        out = ExtentMap()
+        out.extents = self.extents[:n] + tail.extents
+        base = ends[n - 1] if n else 0
+        out._ends = ends[:n] + [base + end for end in tail._ends]
+        return out
 
     def resolve(self, logical_block: int) -> Tuple[str, int]:
         """Physical ``(device, lba)`` of a logical block index."""
-        if logical_block < 0:
-            raise IndexError(f"negative logical block {logical_block}")
-        remaining = logical_block
-        for e in self.extents:
-            if remaining < e.length:
-                return (e.device, e.start_lba + remaining)
-            remaining -= e.length
-        raise IndexError(f"logical block {logical_block} beyond mapped "
-                         f"extent ({self.block_count} blocks)")
+        ends = self._ends
+        i = bisect_right(ends, logical_block)
+        if logical_block < 0 or i == len(ends):
+            raise self._unmapped(logical_block)
+        e = self.extents[i]
+        return (e.device, e.start_lba + e.length - ends[i] + logical_block)
 
     def resolve_range(self, logical_start: int, count: int) -> List[Tuple[str, int, int]]:
-        """Physical runs ``(device, lba, length)`` covering a logical range."""
+        """Physical runs ``(device, lba, length)`` covering a logical range.
+
+        Runs that are physically contiguous on one device are merged,
+        also across extent boundaries."""
         if count <= 0:
             return []
+        stop = logical_start + count
+        total = self.block_count
+        if logical_start < 0 or stop > total:
+            # Named by the first block of the range that does not resolve.
+            raise self._unmapped(logical_start if logical_start < 0
+                                 else max(logical_start, total))
+        ends = self._ends
         runs: List[Tuple[str, int, int]] = []
-        for lb in range(logical_start, logical_start + count):
-            dev, lba = self.resolve(lb)
-            if runs and runs[-1][0] == dev and runs[-1][1] + runs[-1][2] == lba:
+        lb = logical_start
+        i = bisect_right(ends, lb)
+        while lb < stop:
+            e = self.extents[i]
+            n = min(ends[i], stop) - lb
+            lba = e.end_lba - (ends[i] - lb)
+            if runs and runs[-1][0] == e.device and \
+                    runs[-1][1] + runs[-1][2] == lba:
                 dev0, lba0, len0 = runs[-1]
-                runs[-1] = (dev0, lba0, len0 + 1)
+                runs[-1] = (dev0, lba0, len0 + n)
             else:
-                runs.append((dev, lba, 1))
+                runs.append((e.device, lba, n))
+            lb += n
+            i += 1
         return runs
+
+    def _unmapped(self, logical_block: int) -> IndexError:
+        if logical_block < 0:
+            return IndexError(f"negative logical block {logical_block}")
+        return IndexError(f"logical block {logical_block} beyond mapped "
+                          f"extent ({self.block_count} blocks)")
 
     def iter_physical(self) -> Iterator[Tuple[str, int]]:
         """All (device, lba) pairs in logical order."""
@@ -97,16 +153,15 @@ class ExtentMap:
 
 
 def extents_to_payload(extents: "ExtentMap") -> List[Tuple[str, int, int]]:
-    """Wire form of an extent map for control-network replies."""
+    """Wire form of an extent map for control-network replies: one
+    ``(device, start_lba, length)`` entry per run."""
     return [(e.device, e.start_lba, e.length) for e in extents.extents]
 
 
 def extents_from_payload(runs: List[Tuple[str, int, int]]) -> "ExtentMap":
     """Parse the wire form back into an extent map."""
-    em = ExtentMap()
-    for device, start, length in runs:
-        em.append(Extent(device=device, start_lba=int(start), length=int(length)))
-    return em
+    return ExtentMap([Extent(device, int(start), int(length))
+                      for device, start, length in runs])
 
 
 def bytes_to_blocks(nbytes: int) -> int:
