@@ -388,24 +388,24 @@ class StorageTankClient:
             if end > of.extents.size_bytes:
                 body: Dict[str, Any] = {"file_id": of.file_id, "size": end}
                 known = self._with_have(body, of.file_id)
+                sent_at = self.sim.now
+                # One request; ``use_intents`` picks only the envelope.
+                # As a setattr intent the reply is op-result + an
+                # (idempotent) grant in one round trip; a SETATTR reply
+                # carries no ``"lock"``.
                 if self.config.use_intents:
-                    # Growth folds into a setattr intent: the reply is
-                    # op-result + (idempotent) grant in one round trip.
-                    sent_at = self.sim.now
                     reply = yield from self._rpc(
                         MsgKind.LOCK_INTENT, {"op": "setattr", **body},
                         of.server, route=("file", of.file_id))
-                    lock = reply.payload.get("lock")
-                    if (lock is not None
-                            and not self._lock_reply_stale(of.file_id,
-                                                           sent_at)):
-                        self.locks.note_granted(of.file_id,
-                                                LockMode(int(lock)))
-                        of.lock = LockMode(int(lock))
                 else:
                     reply = yield from self._rpc(
                         MsgKind.SETATTR, body,
                         of.server, route=("file", of.file_id))
+                lock = reply.payload.get("lock")
+                if (lock is not None
+                        and not self._lock_reply_stale(of.file_id, sent_at)):
+                    self.locks.note_granted(of.file_id, LockMode(int(lock)))
+                    of.lock = LockMode(int(lock))
                 self._apply_meta_reply(of, reply.payload, known)
             tag = f"{self.name}:w{next(self._write_seq)}"
             first, count = byte_range_to_blocks(offset, nbytes)
@@ -476,16 +476,8 @@ class StorageTankClient:
                                   "mode": int(LockMode.SHARED)}, of.server,
                                  route=("file", of.file_id))
             try:
-                first, count = byte_range_to_blocks(offset, nbytes)
-                out = yield from self._fetch_blocks(
-                    of, list(range(first, first + count)))
-                for lb, tag in out:
-                    device, lba = of.resolve(lb)
-                    self.trace.emit(self.sim.now, "app.read", self.name,
-                                    file_id=of.file_id, block=lb, tag=tag,
-                                    device=device, lba=lba)
-                self.ops_completed += 1
-                return sorted(out)
+                return (yield from self._read_locked_range(of, offset,
+                                                           nbytes))
             finally:
                 yield from self._rpc(MsgKind.RANGE_RELEASE,
                                      {"file_id": of.file_id, "start": offset,
@@ -512,22 +504,8 @@ class StorageTankClient:
                                   "mode": int(LockMode.EXCLUSIVE)}, of.server,
                                  route=("file", of.file_id))
             try:
-                tag = f"{self.name}:w{next(self._write_seq)}"
-                first, count = byte_range_to_blocks(offset, nbytes)
-                by_device: Dict[str, Dict[int, str]] = {}
-                phys = []
-                for lb in range(first, first + count):
-                    device, lba = of.resolve(lb)
-                    by_device.setdefault(device, {})[lba] = tag
-                    phys.append((device, lba))
-                for device, block_tags in by_device.items():
-                    yield from self.san.write(self.name, device, block_tags)
-                self.trace.emit(self.sim.now, "app.write.ack", self.name,
-                                file_id=of.file_id, tag=tag,
-                                blocks=list(range(first, first + count)),
-                                phys=phys)
-                self.ops_completed += 1
-                return tag
+                return (yield from self._write_locked_range(of, offset,
+                                                            nbytes))
             finally:
                 yield from self._rpc(MsgKind.RANGE_RELEASE,
                                      {"file_id": of.file_id, "start": offset,
@@ -558,16 +536,8 @@ class StorageTankClient:
             try:
                 out = []
                 for offset, nbytes in ranges:
-                    first, count = byte_range_to_blocks(offset, nbytes)
-                    got = yield from self._fetch_blocks(
-                        of, list(range(first, first + count)))
-                    for lb, tag in got:
-                        device, lba = of.resolve(lb)
-                        self.trace.emit(self.sim.now, "app.read", self.name,
-                                        file_id=of.file_id, block=lb, tag=tag,
-                                        device=device, lba=lba)
-                    self.ops_completed += 1
-                    out.append(sorted(got))
+                    out.append((yield from self._read_locked_range(
+                        of, offset, nbytes)))
                 return out
             finally:
                 yield from self._batch_release(of, spans)
@@ -594,28 +564,50 @@ class StorageTankClient:
             try:
                 tags = []
                 for offset, nbytes in ranges:
-                    tag = f"{self.name}:w{next(self._write_seq)}"
-                    first, count = byte_range_to_blocks(offset, nbytes)
-                    by_device: Dict[str, Dict[int, str]] = {}
-                    phys = []
-                    for lb in range(first, first + count):
-                        device, lba = of.resolve(lb)
-                        by_device.setdefault(device, {})[lba] = tag
-                        phys.append((device, lba))
-                    for device, block_tags in by_device.items():
-                        yield from self.san.write(self.name, device,
-                                                  block_tags)
-                    self.trace.emit(self.sim.now, "app.write.ack", self.name,
-                                    file_id=of.file_id, tag=tag,
-                                    blocks=list(range(first, first + count)),
-                                    phys=phys)
-                    self.ops_completed += 1
-                    tags.append(tag)
+                    tags.append((yield from self._write_locked_range(
+                        of, offset, nbytes)))
                 return tags
             finally:
                 yield from self._batch_release(of, spans)
         finally:
             self._exit()
+
+    def _read_locked_range(self, of: OpenFile, offset: int, nbytes: int,
+                           ) -> Generator[Event, Any, List[Tuple[int, Optional[str]]]]:
+        """The I/O of one range-locked read, its range lock held by the
+        caller: fetch from the SAN, trace ``app.read``, count the op."""
+        first, count = byte_range_to_blocks(offset, nbytes)
+        out = yield from self._fetch_blocks(
+            of, list(range(first, first + count)))
+        for lb, tag in out:
+            device, lba = of.resolve(lb)
+            self.trace.emit(self.sim.now, "app.read", self.name,
+                            file_id=of.file_id, block=lb, tag=tag,
+                            device=device, lba=lba)
+        self.ops_completed += 1
+        return sorted(out)
+
+    def _write_locked_range(self, of: OpenFile, offset: int, nbytes: int,
+                            ) -> Generator[Event, Any, str]:
+        """The I/O of one range-locked write-through, its range lock held
+        by the caller: tag, harden per device, trace ``app.write.ack``,
+        count the op; returns the tag."""
+        tag = f"{self.name}:w{next(self._write_seq)}"
+        first, count = byte_range_to_blocks(offset, nbytes)
+        by_device: Dict[str, Dict[int, str]] = {}
+        phys = []
+        for lb in range(first, first + count):
+            device, lba = of.resolve(lb)
+            by_device.setdefault(device, {})[lba] = tag
+            phys.append((device, lba))
+        for device, block_tags in by_device.items():
+            yield from self.san.write(self.name, device, block_tags)
+        self.trace.emit(self.sim.now, "app.write.ack", self.name,
+                        file_id=of.file_id, tag=tag,
+                        blocks=list(range(first, first + count)),
+                        phys=phys)
+        self.ops_completed += 1
+        return tag
 
     def _batch_acquire(self, of: OpenFile, ranges: List[Tuple[int, int]],
                        mode: LockMode,

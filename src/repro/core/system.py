@@ -273,7 +273,6 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
     # still covers — the same bound the suspect timer waits (§3, §6).
     server_cfg = ServerConfig(fence_on_steal=fence,
                               recovery_grace=contract.server_wait_local(),
-                              intents=cfg.intents,
                               grant_policy=cfg.intent_grant_policy)
     server_names = cfg.server_names()
     servers: Dict[str, StorageTankServer] = {}

@@ -13,7 +13,8 @@ their own SAN I/O (paper §1.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Generator, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from repro.cluster.takeover import SlotOwnershipError
 from repro.lease.contract import LeaseContract
@@ -63,16 +64,22 @@ class ServerConfig:
     # the window out-waits every pre-crash lease; the bare default here
     # is only for directly-constructed servers in unit tests.
     recovery_grace: float = 5.0
-    # Intent locking (Lustre DLM, PAPERS.md): accept LOCK_INTENT /
-    # LOCK_BATCH transactions that carry the operation inside the lock
-    # request, executed under the lock about to be granted.  Off by
-    # default: a client of a disabled server gets a NACK and the wire
-    # protocol — and every golden trace hash — is bit-identical.
-    intents: bool = False
     # Which GrantPolicy shapes intent grants (see repro.locks.manager):
     # "as-asked" | "batch-adjacent" | "widen-to-extent".  Consulted only
-    # on intent paths, so the default changes nothing with intents off.
+    # on the LOCK_INTENT / LOCK_BATCH paths, which the server always
+    # serves; clients send those kinds only with ``use_intents`` on, so
+    # the default changes nothing with intents off.
     grant_policy: str = "widen-to-extent"
+
+
+class _SubOp(NamedTuple):
+    """An intent sub-op seen as a request: the ``.src`` / ``.payload``
+    surface the ``_h_*`` handlers read.  Unlike a ``Message`` it draws
+    no id from the global message counter, so running a sub-op leaves
+    every later ``msg_id`` (and so every trace hash) unchanged."""
+
+    src: str
+    payload: Dict[str, Any]
 
 
 class StorageTankServer:
@@ -124,7 +131,6 @@ class StorageTankServer:
         self.authority = authority_factory(self)
 
         self.grant_policy: GrantPolicy = grant_policy(self.config.grant_policy)
-        self.intent_ops = 0          # sub-operations executed under intents
 
         self.recovery = RecoveryManager(self, grace=self.config.recovery_grace)
         # Deferred-transaction receipt ACKs are sent by the transport
@@ -662,7 +668,9 @@ class StorageTankServer:
         size = msg.payload.get("size")
         store = self._meta_for_file(file_id)
         if self._cache_nodes:
-            return self._setattr_with_barrier(msg.payload, file_id, size, store)
+            return self._setattr_with_barrier(
+                file_id, size, msg.payload.get("mode"),
+                msg.payload.get("have"), store)
         try:
             if size is not None:
                 ino = store.ensure_size(file_id, int(size), now=self.sim.now)
@@ -674,8 +682,8 @@ class StorageTankServer:
         return ("ack", {"attrs": ino.attrs.to_payload(),
                         **self._extents_part(ino, msg.payload.get("have"))})
 
-    def _setattr_with_barrier(self, body: Dict[str, Any], file_id: int,
-                              size: Any, store: MetadataStore,
+    def _setattr_with_barrier(self, file_id: int, size: Any, mode: Any,
+                              have: Any, store: MetadataStore,
                               ) -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
         barrier = self._claim_barrier()
         try:
@@ -687,13 +695,13 @@ class StorageTankServer:
                                             now=self.sim.now)
                 else:
                     ino = store.set_attrs(file_id, now=self.sim.now,
-                                          mode=body.get("mode"))
+                                          mode=mode)
             except NamespaceError as exc:
                 return ("nack", {"error": str(exc)})
             self._trace_mutate("setattr", file_id=file_id,
                                size=ino.attrs.size)
             return ("ack", {"attrs": ino.attrs.to_payload(),
-                            **self._extents_part(ino, body.get("have"))})
+                            **self._extents_part(ino, have)})
         finally:
             self._cache_pending.discard(barrier)
 
@@ -816,86 +824,14 @@ class StorageTankServer:
         (demanding it from conflicting holders exactly as the split
         protocol would) and performs the operation while still holding
         it, so the reply carries op-result *and* grant together.
+
+        The intent *is* the operation: each sub-op runs the split
+        handler that implements it, over a request view of its body.
+        The only lock logic added here is setattr's, whose split
+        handler takes no lock: the EXCLUSIVE grant is won first and
+        rides the ACK as ``"lock"``.
         """
         op = body.get("op")
-        self.intent_ops += 1
-        if op == "open":
-            path = body["path"]
-            mode = body.get("mode", "r")
-            try:
-                ino = self._meta_for_path(path).lookup(path)
-            except NamespaceError as exc:
-                return ("nack", {"error": str(exc)})
-            wanted = (LockMode.EXCLUSIVE if mode == "w" else LockMode.SHARED)
-            granted = yield from self._grant_lock(client, ino.file_id, wanted)
-            return ("ack", {"file_id": ino.file_id,
-                            "attrs": ino.attrs.to_payload(),
-                            **self._extents_part(ino, body.get("have")),
-                            "lock": int(granted)})
-        if op == "create":
-            path = body["path"]
-            size = int(body.get("size", 0))
-            store = self._meta_for_path(path)
-            if store.exists(path):
-                return ("nack", {"error": "exists"})
-            if self._cache_nodes:
-                result = yield from self._create_with_barrier(path, size, store)
-            else:
-                ino = store.create_file(path, size, now=self.sim.now)
-                if self.cluster is not None:
-                    self.cluster.note_create(ino.file_id, path)
-                result = ("ack", {"file_id": ino.file_id,
-                                  "attrs": ino.attrs.to_payload(),
-                                  **self._extents_part(ino)})
-            decision, payload = result
-            if decision == "ack":
-                granted = yield from self._grant_lock(
-                    client, int(payload["file_id"]), LockMode.EXCLUSIVE)
-                payload = dict(payload)
-                payload["lock"] = int(granted)
-            return (decision, payload)
-        if op == "getattr":
-            try:
-                if "path" in body:
-                    ino = self._meta_for_path(body["path"]).lookup(body["path"])
-                else:
-                    fid = int(body["file_id"])
-                    ino = self._meta_for_file(fid).inode(fid)
-            except (NamespaceError, KeyError) as exc:
-                return ("nack", {"error": str(exc)})
-            granted = yield from self._grant_lock(client, ino.file_id,
-                                                  LockMode.SHARED)
-            return ("ack", {"file_id": ino.file_id,
-                            "attrs": ino.attrs.to_payload(),
-                            "lock": int(granted)})
-        if op == "setattr":
-            file_id = int(body["file_id"])
-            size = body.get("size")
-            store = self._meta_for_file(file_id)
-            granted = yield from self._grant_lock(client, file_id,
-                                                  LockMode.EXCLUSIVE)
-            if self._cache_nodes:
-                result = yield from self._setattr_with_barrier(
-                    body, file_id, size, store)
-            else:
-                try:
-                    if size is not None:
-                        ino = store.ensure_size(file_id, int(size),
-                                                now=self.sim.now)
-                    else:
-                        ino = store.set_attrs(file_id, now=self.sim.now,
-                                              mode=body.get("mode"))
-                except NamespaceError as exc:
-                    result = ("nack", {"error": str(exc)})
-                else:
-                    result = ("ack",
-                              {"attrs": ino.attrs.to_payload(),
-                               **self._extents_part(ino, body.get("have"))})
-            decision, payload = result
-            if decision == "ack":
-                payload = dict(payload)
-                payload["lock"] = int(granted)
-            return (decision, payload)
         if op == "range_acquire":
             file_id = int(body["file_id"])
             rng = ByteRange(int(body["start"]), int(body["end"]))
@@ -906,27 +842,29 @@ class StorageTankServer:
             yield from self._acquire_range(client, file_id, wide, mode_l)
             return ("ack", {"mode": int(mode_l),
                             "start": wide.start, "end": wide.end})
-        if op == "range_release":
-            file_id = int(body["file_id"])
-            rng = None
-            if "start" in body:
-                rng = ByteRange(int(body["start"]), int(body["end"]))
-            self.range_locks.release(client, file_id, rng)
-            return ("ack", {})
-        if op == "close":
-            fid = int(body["file_id"])
-            self.closes_by_file[fid] = self.closes_by_file.get(fid, 0) + 1
-            return ("ack", {})
-        return ("nack", {"error": f"unknown intent op {op!r}"})
+        view = _SubOp(client, body)
+        granted: Optional[LockMode] = None
+        if op == "open":
+            result = self._h_open(view)
+        elif op == "setattr":
+            granted = yield from self._grant_lock(
+                client, int(body["file_id"]), LockMode.EXCLUSIVE)
+            result = self._h_setattr(view)
+        elif op == "range_release":
+            result = self._h_range_release(view)
+        elif op == "close":
+            result = self._h_close(view)
+        else:
+            return ("nack", {"error": f"unknown intent op {op!r}"})
+        if not isinstance(result, tuple):
+            result = yield from result
+        decision, payload = result
+        if granted is not None and decision == "ack":
+            payload = {**payload, "lock": int(granted)}
+        return (decision, payload)
 
     def _h_lock_intent(self, msg: Message):
-        if not self.config.intents:
-            return ("nack", {"error": "intents_disabled"})
-        body = msg.payload
-
-        def run() -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
-            return (yield from self._intent_exec(msg.src, body))
-        return run()
+        return self._intent_exec(msg.src, msg.payload)
 
     def _h_lock_batch(self, msg: Message):
         """Batched intents: several sub-requests in one datagram.
@@ -937,8 +875,6 @@ class StorageTankServer:
         the client can map grants back to its requests.  Sub-op failures
         do not abort the batch — each result carries its own ``ok``.
         """
-        if not self.config.intents:
-            return ("nack", {"error": "intents_disabled"})
         ops: List[Dict[str, Any]] = list(msg.payload.get("ops", []))
 
         def run() -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
@@ -966,7 +902,6 @@ class StorageTankServer:
                 size = self._file_size(fid)
                 spans: List[Tuple[ByteRange, LockMode]] = []
                 for rng, mode_l in merged:
-                    self.intent_ops += 1
                     wide = self.grant_policy.widen_range(
                         self.range_locks, msg.src, fid, rng, mode_l, size)
                     yield from self._acquire_range(msg.src, fid, wide, mode_l)

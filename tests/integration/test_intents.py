@@ -7,11 +7,14 @@ every wire message is bit-identical to the split protocol — these tests
 pin both the savings and the off-path neutrality.
 """
 
+import inspect
+
 import pytest
 
 from repro.analysis import ConsistencyAuditor
+from repro.core.config import NetCacheConfig
 from repro.locks import LockMode
-from repro.net.message import MsgKind, NackError
+from repro.net.message import Message, MsgKind, NackError
 from repro.storage import BLOCK_SIZE
 
 from tests.conftest import make_system, run_gen
@@ -21,6 +24,13 @@ def _setup_file(s, path="/f", blocks=8):
     c1 = s.client("c1")
     run_gen(s, c1.create(path, size=blocks * BLOCK_SIZE))
     return c1
+
+
+#: The netcache tier off and on: with cache nodes, CREATE and SETATTR
+#: run the invalidate-before-apply barrier and so defer.
+TIERS = [pytest.param({}, id="no-cache"),
+         pytest.param({"netcache": NetCacheConfig(enabled=True, n_nodes=2)},
+                      id="netcache")]
 
 
 # -- one round trip per op -------------------------------------------------
@@ -157,34 +167,117 @@ def test_intents_cut_messages_per_op_at_least_2x():
 
 # -- server-side semantics -------------------------------------------------
 
-def test_intent_nacked_when_disabled():
-    s = make_system()  # intents off server-side
-    c1 = _setup_file(s)
-
-    def probe():
-        try:
-            yield from c1._rpc(MsgKind.LOCK_INTENT,
-                               {"op": "open", "path": "/f", "mode": "r"},
-                               "server")
-        except NackError as exc:
-            return exc.nack.payload.get("error")
-        return None
-    assert run_gen(s, probe()) == "intents_disabled"
-
-
 def test_unknown_intent_op_nacked():
     s = make_system(intents=True)
     c1 = _setup_file(s)
 
-    def probe():
+    def probe(op):
         try:
             yield from c1._rpc(MsgKind.LOCK_INTENT,
-                               {"op": "truncate-all", "path": "/f"},
+                               {"op": op, "path": "/f"},
                                "server")
         except NackError as exc:
             return exc.nack.payload.get("error")
         return None
-    assert "unknown intent op" in (run_gen(s, probe()) or "")
+    # ``create`` and ``getattr`` were intent sub-ops no client ever sent;
+    # they are gone, and get the same NACK as any other unknown op.
+    for op in ("truncate-all", "create", "getattr"):
+        assert "unknown intent op" in (run_gen(s, probe(op)) or ""), op
+
+
+#: Each intent sub-op with a split twin: the twin's kind and the body
+#: both envelopes carry (file 1 is ``_setup_file``'s 8-block ``/f``).
+SPLIT_TWINS = {
+    "open": (MsgKind.OPEN, {"path": "/f", "mode": "w", "have": [1, 0]}),
+    "setattr": (MsgKind.SETATTR, {"file_id": 1, "size": 12 * BLOCK_SIZE}),
+    "close": (MsgKind.CLOSE, {"file_id": 1}),
+    "range_release": (MsgKind.RANGE_RELEASE,
+                      {"file_id": 1, "start": 0, "end": BLOCK_SIZE}),
+}
+
+#: Reply keys outside an operation's result: the grant and the stamps
+#: the dispatch layer adds to every ACK.
+_ENVELOPE = ("lock", "__epoch__", "__mseq__")
+
+
+def _run_op(op, as_intent, tier):
+    """Run one operation on a fresh, identically seeded system; return
+    its reply payload and the server state the operation touches."""
+    s = make_system(intents=True, **tier)
+    c1 = _setup_file(s)
+    srv = s.server_node("server")
+    kind, body = SPLIT_TWINS[op]
+
+    def work():
+        if op == "range_release":
+            yield from c1._rpc(MsgKind.RANGE_ACQUIRE,
+                               {"file_id": 1, "start": 0, "end": BLOCK_SIZE,
+                                "mode": int(LockMode.EXCLUSIVE)}, "server")
+        if as_intent:
+            reply = yield from c1._rpc(MsgKind.LOCK_INTENT,
+                                       {"op": op, **body}, "server")
+        else:
+            reply = yield from c1._rpc(kind, body, "server")
+        return reply.payload
+    payload = run_gen(s, work())
+    mutations = [(r.node, r.detail)
+                 for r in s.trace.select(kind="meta.mutate")]
+    state = (dict(srv.closes_by_file), srv.range_locks.holdings("c1", 1),
+             srv.metadata.inode(1).attrs.size)
+    return payload, mutations, state
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("op", sorted(SPLIT_TWINS))
+def test_intent_subop_matches_split_handler(op, tier):
+    """The intent is the operation: a sub-op's reply, its namespace
+    mutation record and its effect equal its split twin's, apart from
+    the grant and the envelope stamps."""
+    split, split_mut, split_state = _run_op(op, False, tier)
+    intent, intent_mut, intent_state = _run_op(op, True, tier)
+
+    def result(p):
+        return {k: v for k, v in p.items() if k not in _ENVELOPE}
+    assert result(intent) == result(split)
+    assert intent_mut == split_mut
+    assert intent_state == split_state
+    if op == "setattr":
+        # The only lock logic the intent adds: setattr's EXCLUSIVE grant.
+        assert intent["lock"] == int(LockMode.EXCLUSIVE)
+        assert "lock" not in split
+        assert split["attrs"]["size"] == 12 * BLOCK_SIZE
+        setattrs = [d for _, d in split_mut if d["op"] == "setattr"]
+        assert len(setattrs) == (1 if tier else 0)
+    if op == "open":
+        assert intent["lock"] == split["lock"] == int(LockMode.EXCLUSIVE)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_handler_reply_shapes(tier):
+    """Pin which handlers answer at once (a tuple) and which defer (a
+    generator, after the transport's pending ACK).  CREATE and SETATTR
+    defer only to run the mutation barrier against cache nodes."""
+    s = make_system(**tier)
+    _setup_file(s)
+    srv = s.server_node("server")
+    cached = bool(tier)
+
+    def deferred(kind, handler, payload):
+        result = handler(Message("c1", "server", kind, payload))
+        if inspect.isgenerator(result):
+            result.close()
+            return True
+        assert isinstance(result, tuple)
+        return False
+    assert deferred(MsgKind.CREATE, srv._h_create, {"path": "/new"}) is cached
+    assert deferred(MsgKind.SETATTR, srv._h_setattr,
+                    {"file_id": 1, "size": 9 * BLOCK_SIZE}) is cached
+    assert deferred(MsgKind.OPEN, srv._h_open, {"path": "/f", "mode": "r"})
+    assert not deferred(MsgKind.OPEN, srv._h_open,
+                        {"path": "/f", "mode": "r", "nolock": True})
+    assert deferred(MsgKind.UNLINK, srv._h_unlink, {"path": "/f"})
+    assert deferred(MsgKind.LOCK_ACQUIRE, srv._h_lock_acquire,
+                    {"file_id": 1, "mode": int(LockMode.SHARED)})
 
 
 def test_batch_subop_failure_does_not_abort_batch():
