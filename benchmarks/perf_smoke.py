@@ -177,9 +177,9 @@ def check(baseline_path: str, tolerance: float, reps: int,
         status = "ok" if fresh["normalized"] >= floor else "REGRESSION"
         if status != "ok":
             failures += 1
-        print(f"  {name}: normalized {fresh['normalized']:.4f} "
-              f"(baseline {committed['normalized']:.4f}, "
-              f"floor {floor:.4f}) {status}")
+        print(f"  {name}: normalized {fresh['normalized']:.4g} "
+              f"(baseline {committed['normalized']:.4g}, "
+              f"floor {floor:.4g}) {status}")
     print(f"perf-smoke: {len(gated) - failures}/"
           f"{len(gated)} within tolerance {tolerance:.0%}")
     return 0 if failures == 0 else 1
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
         if name in doc["speedup_vs_pre_pr"]:
             extra = f"  ({doc['speedup_vs_pre_pr'][name]:.2f}x vs pre-PR)"
         print(f"  {name}: {vals['ops_per_sec']:,.0f} ops/s, "
-              f"normalized {vals['normalized']:.4f}{extra}")
+              f"normalized {vals['normalized']:.4g}{extra}")
     print(f"baseline written to {args.write}")
     return 0
 

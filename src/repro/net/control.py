@@ -45,7 +45,7 @@ from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.obs import Observability
-    from repro.obs.registry import Metric
+    from repro.obs.registry import HistogramChild
     from repro.obs.spans import Span
 
 # A request handler may return a decision tuple directly, or a generator
@@ -365,11 +365,11 @@ class Endpoint:
         # (src, seq) -> ("done", decision, payload) | ("in_progress", None, None)
         self._executed: Dict[Tuple[str, int], Tuple[str, Optional[str], Optional[Dict[str, Any]]]] = {}
         self._executed_order: Deque[Tuple[str, int]] = deque()
-        # Cached RPC latency histogram family (keyed by registry identity,
-        # invalidated if the endpoint is re-bound to a different registry).
-        self._rpc_hist: Optional["Metric"] = None
+        # RPC latency histogram children by (kind, status), valid for the
+        # registry they came from; re-binding ``obs`` to another registry
+        # drops them.
+        self._rpc_hist: Optional[Dict[Tuple[str, str], "HistogramChild"]] = None
         self._rpc_hist_registry: Optional[object] = None
-        self._rpc_count: Optional["Metric"] = None
         # Requests initiated through this endpoint, by message kind
         # (one count per logical RPC; retries share the count).  The
         # messages-per-op accounting divides these by completed ops.
@@ -562,21 +562,16 @@ class Endpoint:
         if span is not None:
             span.end(self.sim._now, status=status)
         registry = obs.registry
-        hist = self._rpc_hist
-        count = self._rpc_count
-        if hist is None or count is None \
-                or self._rpc_hist_registry is not registry:
-            hist = registry.histogram(
-                "net.rpc.latency_s", "Request round-trip time (simulated s)",
-                labels=("kind", "status"))
-            count = registry.counter(
-                "net.rpc.requests", "RPC round trips completed",
-                labels=("kind", "status"))
-            self._rpc_hist = hist
-            self._rpc_count = count
+        children = self._rpc_hist
+        if children is None or self._rpc_hist_registry is not registry:
+            children = self._rpc_hist = {}
             self._rpc_hist_registry = registry
-        hist.labels(kind=kind, status=status).observe(self.sim._now - t0)
-        count.labels(kind=kind, status=status).inc()
+        child = children.get((kind, status))
+        if child is None:
+            child = children[kind, status] = registry.histogram(
+                "net.rpc.latency_s", "Request round-trip time (simulated s)",
+                labels=("kind", "status")).labels(kind=kind, status=status)
+        child.observe(self.sim._now - t0)
 
     def _fresh_result_event(self, ticket: int) -> Event:
         """Register a waiter for a deferred-transaction result, consuming

@@ -12,9 +12,9 @@ Hot-path design notes: heap entries are 3-tuples ``(time, key, event)``
 two fields into a single int (priority events keep the bare sequence
 number, normal events add :data:`repro.sim.events.NORMAL_BAND`), which
 both shrinks the tuple and cuts a comparison level in the heap.
-:meth:`Simulator.run` with no bounds (the overwhelmingly common call)
-uses a closure-free tight loop with bound-local ``heappop`` and an
-inline single-waiter dispatch that skips the generic
+:meth:`Simulator.run` is one closure-free tight loop with bound-local
+``heappop``, whatever its bounds: ``until`` and ``max_events`` are
+checked inline, and a single-waiter dispatch skips the generic
 :meth:`Event._fire` machinery.
 """
 
@@ -112,37 +112,33 @@ class Simulator:
         Returns the simulation time when the loop stopped.  ``max_events``
         is a safety valve for runaway simulations.
         """
-        if until is None and max_events is None:
-            # Tight unbounded loop: bound locals, inline single-waiter
-            # dispatch (equivalent to Event._fire with one registrant and
-            # no failure — the dominant case by far).
-            heap = self._heap
-            pop = heappop
-            while heap:
-                t, _key, event = pop(heap)
-                self._now = t
-                waiter = event._waiter
-                if waiter is not None and event._exc is None and not event.callbacks:
-                    event._waiter = None
-                    event.callbacks = None
-                    event._processed = True
-                    waiter(event)
-                else:
-                    event._fire()
-            return self._now
-
-        count = 0
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
+        # One loop for every bound: bound locals, the horizon and the
+        # event budget checked inline, and an inline single-waiter
+        # dispatch (equivalent to Event._fire with one registrant and no
+        # failure — the dominant case by far).
+        heap = self._heap
+        pop = heappop
+        horizon = float("inf") if until is None else until
+        budget = -1 if max_events is None else max(max_events, 0)
+        while heap:
+            if heap[0][0] > horizon:
                 self._now = until
-                break
-            if max_events is not None and count >= max_events:
+                return self._now
+            if not budget:
                 raise SimulationError(f"run() exceeded max_events={max_events}")
-            self.step()
-            count += 1
-        else:
-            if until is not None and until > self._now:
-                self._now = until
+            budget -= 1
+            t, _key, event = pop(heap)
+            self._now = t
+            waiter = event._waiter
+            if waiter is not None and event._exc is None and not event.callbacks:
+                event._waiter = None
+                event.callbacks = None
+                event._processed = True
+                waiter(event)
+            else:
+                event._fire()
+        if until is not None and until > self._now:
+            self._now = until
         return self._now
 
     def run_until_event(self, event: Event, hard_limit: float = float("inf")) -> Any:

@@ -160,11 +160,11 @@ def apply_break_mode(system: StorageTankSystem, break_mode: str) -> None:
 def trace_lines(system: StorageTankSystem) -> List[str]:
     """The canonical, hashable rendering of a finished run's trace."""
     lines = []
-    for rec in system.trace.records:
-        detail = " ".join(
-            f"{k}={rec.detail[k]!r}" for k in sorted(rec.detail)
+    for time, kind, node, detail in system.trace.rows():
+        shown = " ".join(
+            f"{k}={detail[k]!r}" for k in sorted(detail)
             if k not in _NONCANONICAL_KEYS)
-        lines.append(f"{rec.time:.9f} {rec.kind} {rec.node} {detail}")
+        lines.append(f"{time:.9f} {kind} {node} {shown}")
     return lines
 
 

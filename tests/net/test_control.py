@@ -284,3 +284,33 @@ def test_local_timeout_respects_clock_rate(net_pair):
     p = sim.process(proc())
     sim.run()
     assert sim.now == pytest.approx(10.0 / rate)
+
+
+def test_rpc_latency_counts_per_kind_and_status(net_pair):
+    """One histogram observation per completed round trip, under its
+    (kind, status); re-binding ``obs`` records into the new registry."""
+    from repro.obs import Observability
+
+    sim, net, server, client = net_pair
+    for kind in ("fs.getattr", "fs.open"):
+        server.register(kind, lambda m: ("nack", {"error": "no"})
+                        if m.payload.get("bad") else ("ack", {}))
+    first = client.obs = Observability()
+    for _ in range(3):
+        run_req(sim, client, "server", "fs.getattr", {})
+    for kind in ("fs.getattr", "fs.getattr", "fs.open"):
+        with pytest.raises(NackError):
+            run_req(sim, client, "server", kind, {"bad": True})
+    run_req(sim, client, "server", "fs.open", {})
+    fam = first.registry.get("net.rpc.latency_s")
+    counts = {(c.labels["kind"], c.labels["status"]): c.count
+              for c in fam.children}
+    assert counts == {("fs.getattr", "ack"): 3, ("fs.getattr", "nack"): 2,
+                      ("fs.open", "nack"): 1, ("fs.open", "ack"): 1}
+
+    second = client.obs = Observability()
+    run_req(sim, client, "server", "fs.getattr", {})
+    fam2 = second.registry.get("net.rpc.latency_s")
+    assert [(c.labels, c.count) for c in fam2.children] == [
+        ({"kind": "fs.getattr", "status": "ack"}, 1)]
+    assert fam.labels(kind="fs.getattr", status="ack").count == 3

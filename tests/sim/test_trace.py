@@ -138,3 +138,24 @@ def test_clear_resets_index_and_stride():
     t.emit(4.0, "a.b", "n")
     # Stride sequence restarted: the second post-clear emit is stored.
     assert len(t) == 1
+
+
+def test_trace_lines_pinned_rendering():
+    """The canonical hash rendering: ``.9f`` time, detail keys sorted,
+    values ``!r``-formatted, ``msg_id`` dropped."""
+    from types import SimpleNamespace
+
+    from repro.simtest.runner import trace_lines
+
+    t = TraceRecorder(enabled=True)
+    t.emit(1.5, "msg.send", "c1", msg_kind="fs.open", dst="s0", msg_id=7,
+           seq=3)
+    t.emit(0.1 + 0.2, "lease.phase", "c1", phase="active", ok=True,
+           ratio=0.25, note=None)
+    t.emit(2, "x.bare", "s0")
+    assert trace_lines(SimpleNamespace(trace=t)) == [
+        "1.500000000 msg.send c1 dst='s0' msg_kind='fs.open' seq=3",
+        "0.300000000 lease.phase c1 note=None ok=True phase='active' "
+        "ratio=0.25",
+        "2.000000000 x.bare s0 ",
+    ]
